@@ -74,61 +74,6 @@ func (pl *Pipeline) issuable(u *uop) bool {
 	return true
 }
 
-// issue selects up to IssueWidth ready instructions, oldest first, subject
-// to function-unit availability. Issue is suppressed entirely in a cycle
-// that detected a register cache miss (the paper's replay rule: everything
-// issued in the cycle after a missing instruction issues is replayed).
-func (pl *Pipeline) issue() {
-	if pl.suppressIssue {
-		pl.Stats.SuppressedIssueCycles++
-		return
-	}
-	pl.fuUsed = [numFUClasses]int{}
-	issued := 0
-	for _, e := range pl.iq {
-		if issued >= pl.cfg.IssueWidth {
-			break
-		}
-		u := e.u
-		if u == nil || u.seq != e.seq || u.state != uInIQ {
-			continue // stale slot: issued, squashed, or recycled
-		}
-		cls := classOf(u.inst.Op)
-		if pl.fuUsed[cls] >= pl.fuCap[cls] {
-			continue
-		}
-		if !pl.issuable(u) {
-			continue
-		}
-		pl.fuUsed[cls]++
-		u.state = uIssued
-		u.issueCycle = pl.now
-		pl.issuedNow = append(pl.issuedNow, u)
-		if pl.tracer != nil {
-			pl.tracePipe(u, obs.StageIssue, pl.now)
-		}
-		issued++
-	}
-	pl.Stats.Issued += uint64(issued)
-	if len(pl.iq) > pl.iqCount*2+32 {
-		pl.compactIQ()
-	}
-}
-
-// compactIQ removes entries that left the window.
-func (pl *Pipeline) compactIQ() {
-	live := pl.iq[:0]
-	for _, e := range pl.iq {
-		if u := e.u; u != nil && u.seq == e.seq && (u.state == uInIQ || u.state == uIssued) {
-			live = append(live, e)
-		}
-	}
-	for i := len(live); i < len(pl.iq); i++ {
-		pl.iq[i] = uopRef{} // drop stale references
-	}
-	pl.iq = live
-}
-
 // readStage processes uops issued in the previous cycle: operands are
 // validated against actual producer timing (load-hit and cache-miss
 // shadows replay here), then acquired from the bypass network, the
@@ -161,6 +106,7 @@ func (pl *Pipeline) resolveOperands(u *uop) {
 		plan[i] = pl.operandPlan(&u.srcs[i], u.issueCycle, u.missKnownAtFloor())
 		if plan[i] == srcUnavailable {
 			u.state = uInIQ // replay: reissue once the producer is really done
+			pl.setCandidate(u.iqPos)
 			pl.Stats.Replays++
 			return
 		}
@@ -352,6 +298,7 @@ func (pl *Pipeline) beginExecution(u *uop, execStart uint64) {
 	}
 	u.state = uExecuting
 	u.execStart = execStart
+	pl.wakeConsumers(u)
 	if pl.tracer != nil {
 		pl.tracePipe(u, obs.StageExecute, execStart)
 	}
@@ -557,6 +504,7 @@ func (pl *Pipeline) squash(u *uop) {
 			}
 		}
 	}
+	pl.wakeConsumers(u) // return the list's nodes to the pool
 	if u.hasDest() {
 		if pl.cache != nil {
 			pl.cache.Free(u.destPreg, pl.now)

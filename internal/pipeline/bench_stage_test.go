@@ -19,7 +19,9 @@ import (
 // and allocation gates sweep: each register-storage kind exercises a
 // different set of hot paths (fill requests only exist behind a cache, the
 // two-level file ticks its own copy engine, the oracle consults the
-// pre-pass table at rename).
+// pre-pass table at rename, a ported backing file arbitrates its read
+// queue, and four contexts share the window through round-robin fetch and
+// retire).
 func benchConfigs() map[string]Config {
 	cache := DefaultConfig()
 
@@ -37,13 +39,41 @@ func benchConfigs() map[string]Config {
 	lru.CacheCfg.Replace = core.ReplaceLRU
 	lru.CacheCfg.Index = core.IndexRoundRobin
 
+	port := DefaultConfig()
+	port.ReadPorts = 2
+
+	t4 := DefaultConfig()
+	t4.Threads = 4
+
 	return map[string]Config{
 		"use-cache": cache,
 		"lru-cache": lru,
 		"mono":      mono,
 		"twolevel":  two,
 		"oracle":    oracle,
+		"port":      port,
+		"use-t4":    t4,
 	}
+}
+
+// newBenchPipeline builds a pipeline on the given benchmark: one context
+// for Threads <= 1, otherwise one per context, each running the
+// benchmark's context-salted stream as the simulator's workload layer
+// derives it.
+func newBenchPipeline(tb testing.TB, cfg Config, bench string) *Pipeline {
+	tb.Helper()
+	prof, ok := prog.ProfileByName(bench)
+	if !ok {
+		tb.Fatalf("unknown benchmark %q", bench)
+	}
+	if cfg.Threads <= 1 {
+		return New(cfg, prog.MustGenerate(prof))
+	}
+	progs := make([]*prog.Program, cfg.Threads)
+	for t := range progs {
+		progs[t] = prog.MustGenerate(prog.ThreadProfile(prof, t))
+	}
+	return NewMulti(cfg, progs)
 }
 
 // warmPipeline builds a pipeline on the given benchmark and runs it past
@@ -51,11 +81,7 @@ func benchConfigs() map[string]Config {
 // caches and predictors warm.
 func warmPipeline(tb testing.TB, cfg Config, bench string, warmInsts uint64) *Pipeline {
 	tb.Helper()
-	prof, ok := prog.ProfileByName(bench)
-	if !ok {
-		tb.Fatalf("unknown benchmark %q", bench)
-	}
-	pl := New(cfg, prog.MustGenerate(prof))
+	pl := newBenchPipeline(tb, cfg, bench)
 	pl.Run(warmInsts)
 	return pl
 }
@@ -81,47 +107,30 @@ func BenchmarkCycleSteadyState(b *testing.B) {
 }
 
 // BenchmarkStageBreakdown attributes cycle time to the individual pipeline
-// stages: it advances the machine exactly as Cycle does (keep the stage
-// sequence in sync with Pipeline.Cycle) but brackets each stage with a
-// timestamp, reporting per-stage ns/cycle metrics. Stage cost shares guide
-// optimization; the absolute per-stage numbers carry the timestamping
-// overhead (~tens of ns), which cancels out of comparisons across runs.
+// stages: it advances the machine through the same stage table Cycle runs,
+// bracketing each stage with a timestamp, and reports per-stage ns/cycle
+// metrics. Stage cost shares guide optimization; the absolute per-stage
+// numbers carry the timestamping overhead (~tens of ns), which cancels out
+// of comparisons across runs.
 func BenchmarkStageBreakdown(b *testing.B) {
 	pl := warmPipeline(b, DefaultConfig(), "gzip", 10_000)
-	stages := [7]time.Duration{}
-	names := [7]string{"retire", "fills", "completions", "read", "dispatch", "issue", "fetch"}
+	var spent [len(cycleStages)]time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.now++
-		pl.suppressIssue = false
+		pl.beginCycle()
 		t0 := time.Now()
-		pl.retire()
-		t1 := time.Now()
-		pl.processFills()
-		t2 := time.Now()
-		pl.processCompletions()
-		t3 := time.Now()
-		pl.readStage()
-		t4 := time.Now()
-		pl.dispatch()
-		t5 := time.Now()
-		pl.issue()
-		t6 := time.Now()
-		pl.fetch()
-		t7 := time.Now()
+		for j := range cycleStages {
+			cycleStages[j].run(pl)
+			t1 := time.Now()
+			spent[j] += t1.Sub(t0)
+			t0 = t1
+		}
 		pl.Stats.Cycles = pl.now
-		stages[0] += t1.Sub(t0)
-		stages[1] += t2.Sub(t1)
-		stages[2] += t3.Sub(t2)
-		stages[3] += t4.Sub(t3)
-		stages[4] += t5.Sub(t4)
-		stages[5] += t6.Sub(t5)
-		stages[6] += t7.Sub(t6)
 	}
 	b.StopTimer()
-	for i, n := range names {
-		b.ReportMetric(float64(stages[i].Nanoseconds())/float64(b.N), n+"-ns/cycle")
+	for j, st := range cycleStages {
+		b.ReportMetric(float64(spent[j].Nanoseconds())/float64(b.N), st.name+"-ns/cycle")
 	}
 }
 

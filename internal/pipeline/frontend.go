@@ -138,6 +138,9 @@ func (pl *Pipeline) renameOne(tc *threadCtx, inst *isa.Inst) *uop {
 			if p := pl.producers[m.PReg]; p != nil {
 				s.producer = p
 				s.prodSeq = p.seq
+				if p.state != uExecuting && p.state != uDone {
+					pl.linkWake(p, u)
+				}
 			}
 			pl.Stats.SrcOperands++
 			if pl.tlf != nil {
@@ -312,7 +315,7 @@ func (pl *Pipeline) dispatch() {
 		u.robIdx = (tc.robHead + tc.robCount) % len(tc.rob)
 		tc.rob[u.robIdx] = u
 		tc.robCount++
-		pl.iq = append(pl.iq, uopRef{u: u, seq: u.seq})
+		pl.enterWindow(u)
 		pl.iqCount++
 		if pl.tracer != nil {
 			pl.tracePipe(u, obs.StageDispatch, pl.now)

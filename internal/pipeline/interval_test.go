@@ -100,7 +100,7 @@ func TestCaptureCheckpointsAlignment(t *testing.T) {
 // TestRunIntervalsK1BitIdentical pins the guard mode: one interval with no
 // warm-up must be the serial run, bit for bit, for every scheme kind.
 func TestRunIntervalsK1BitIdentical(t *testing.T) {
-	for name, cfg := range benchConfigs() {
+	for name, cfg := range intervalConfigs() {
 		t.Run(name, func(t *testing.T) {
 			p := prog.MustGenerate(mustProfile(t, "gzip"))
 			serial := New(cfg, p).Run(20_000)
@@ -119,7 +119,7 @@ func TestRunIntervalsK1BitIdentical(t *testing.T) {
 // function of its inputs: two identical invocations (including freshly
 // captured checkpoints) must agree exactly.
 func TestRunIntervalsDeterministic(t *testing.T) {
-	for name, cfg := range benchConfigs() {
+	for name, cfg := range intervalConfigs() {
 		t.Run(name, func(t *testing.T) {
 			p := prog.MustGenerate(mustProfile(t, "gzip"))
 			o := IntervalOptions{K: 4, Warmup: 2_000}
@@ -201,7 +201,7 @@ func TestStatsSubAddRoundTrip(t *testing.T) {
 func TestCycleLoopZeroAllocInterval(t *testing.T) {
 	p := prog.MustGenerate(mustProfile(t, "gzip"))
 	cks := CaptureCheckpoints(p, []uint64{30_000}, memsys.Config{})
-	for name, cfg := range benchConfigs() {
+	for name, cfg := range intervalConfigs() {
 		t.Run(name, func(t *testing.T) {
 			pl := NewAt(cfg, p, cks[0])
 			pl.Run(40_000) // warm past the checkpoint transient, as the serial gate does
@@ -216,6 +216,18 @@ func TestCycleLoopZeroAllocInterval(t *testing.T) {
 			}
 		})
 	}
+}
+
+// intervalConfigs is benchConfigs without the multithreaded entries:
+// interval checkpoints are single-context (NewAt refuses Threads > 1).
+func intervalConfigs() map[string]Config {
+	m := benchConfigs()
+	for name, cfg := range m {
+		if cfg.Threads > 1 {
+			delete(m, name)
+		}
+	}
+	return m
 }
 
 func mustProfile(t *testing.T, name string) prog.Profile {

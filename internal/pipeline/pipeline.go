@@ -127,6 +127,13 @@ type Pipeline struct {
 	iq      []uopRef
 	iqCount int
 
+	// Event-driven wakeup (wakeup.go): candidates has one bit per iq slot,
+	// set while the slot's uop may be issuable; wakeNodes is the wake-list
+	// node pool (index 0 is the nil link) and wakeFree its free-list head.
+	candidates []uint64
+	wakeNodes  []wakeNode
+	wakeFree   int32
+
 	frontq    []*uop
 	frontqBuf []*uop // backing array for frontq (reused to avoid churn)
 
@@ -244,21 +251,31 @@ func newPipeline(cfg Config, progs []*prog.Program, execs []*prog.Exec) *Pipelin
 		panic(fmt.Sprintf("pipeline: %d physical registers cannot back %d contexts (%d identity + rename headroom)",
 			cfg.NumPRegs, nt, nt*isa.NumArchRegs))
 	}
+	// Lazy compaction lets the window's slot list reach twice its live
+	// count plus slack, and one dispatch group past that before issue
+	// compacts it. Wake-list nodes are bounded by two per uop in the ROB
+	// and front-end queue, doubled for squash/refetch churn; beyond that
+	// the pool grows by append.
+	iqSlots := 2*cfg.IQSize + 32 + cfg.FetchWidth
+	wakeNodes := 4*(cfg.ROBSize+cfg.FrontQCap) + 1
 	pl := &Pipeline{
-		cfg:       cfg,
-		threads:   make([]threadCtx, nt),
-		upred:     usepred.New(cfg.UsePred),
-		mem:       memsys.New(cfg.Mem),
-		freelist:  regfile.NewFreeList(cfg.NumPRegs),
-		readLat:   cfg.readLatency(),
-		producers: make([]*uop, cfg.NumPRegs),
-		prodPC:    make([]uint64, cfg.NumPRegs),
-		prodSig:   make([]uint64, cfg.NumPRegs),
-		archReads: make([]int, cfg.NumPRegs),
-		frontqBuf: make([]*uop, 0, cfg.FrontQCap+8),
-		comps:     newTimingWheel[compEntry](wheelHorizon, 2*cfg.IssueWidth),
-		fills:     newTimingWheel[*fillReq](wheelHorizon, 4),
-		missQ:     make([]*fillReq, cfg.NumPRegs),
+		cfg:        cfg,
+		threads:    make([]threadCtx, nt),
+		upred:      usepred.New(cfg.UsePred),
+		mem:        memsys.New(cfg.Mem),
+		freelist:   regfile.NewFreeList(cfg.NumPRegs),
+		readLat:    cfg.readLatency(),
+		producers:  make([]*uop, cfg.NumPRegs),
+		prodPC:     make([]uint64, cfg.NumPRegs),
+		prodSig:    make([]uint64, cfg.NumPRegs),
+		archReads:  make([]int, cfg.NumPRegs),
+		frontqBuf:  make([]*uop, 0, cfg.FrontQCap+8),
+		comps:      newTimingWheel[compEntry](wheelHorizon, 2*cfg.IssueWidth),
+		fills:      newTimingWheel[*fillReq](wheelHorizon, 4),
+		missQ:      make([]*fillReq, cfg.NumPRegs),
+		iq:         make([]uopRef, 0, iqSlots),
+		candidates: make([]uint64, 0, (iqSlots+63)/64),
+		wakeNodes:  make([]wakeNode, 1, wakeNodes), // index 0 is the nil link
 	}
 	pl.fuCap = [numFUClasses]int{cfg.IntALU, cfg.BranchUnits, cfg.IntMul, cfg.FPALU, cfg.FPMulDiv, cfg.LoadUnits, cfg.StoreUnits}
 	if cfg.TrackLifetimes || cfg.TrackLiveCounts {
@@ -429,22 +446,51 @@ func (pl *Pipeline) RunWindowSpans(warmup, measure uint64, sp *obs.Span) Result 
 	return pl.windowResult(snap)
 }
 
+// stage is one step of the clock cycle.
+type stage struct {
+	name string
+	run  func(*Pipeline)
+}
+
+// cycleStages is the cycle's stage sequence, the one Cycle runs and the
+// stage breakdown benchmark times. Order matters: retirement and port
+// grants free resources first, fills and completions then wake
+// dependants, the read stage precedes select so producers entering
+// execution there wake their consumers for back-to-back issue, and fetch
+// runs last so this cycle's squashes redirect it.
+var cycleStages = [...]stage{
+	{"retire", (*Pipeline).retire},
+	{"ports", (*Pipeline).grantPorts},
+	{"fills", (*Pipeline).processFills},
+	{"completions", (*Pipeline).processCompletions},
+	{"read", (*Pipeline).readStage},
+	{"dispatch", (*Pipeline).dispatch},
+	{"issue", (*Pipeline).issue},
+	{"fetch", (*Pipeline).fetch},
+	{"twolevel", (*Pipeline).tickTwoLevel},
+}
+
 // Cycle advances the machine by one clock.
 func (pl *Pipeline) Cycle() {
+	pl.beginCycle()
+	for i := range cycleStages {
+		cycleStages[i].run(pl)
+	}
+	pl.Stats.Cycles = pl.now
+}
+
+// beginCycle opens a new clock cycle.
+func (pl *Pipeline) beginCycle() {
 	pl.now++
 	pl.suppressIssue = false
-	pl.retire()
-	pl.grantPorts()
-	pl.processFills()
-	pl.processCompletions()
-	pl.readStage()
-	pl.dispatch()
-	pl.issue()
-	pl.fetch()
+}
+
+// tickTwoLevel advances the two-level file's copy engine (a no-op for
+// every other scheme).
+func (pl *Pipeline) tickTwoLevel() {
 	if pl.tlf != nil {
 		pl.tlf.Tick()
 	}
-	pl.Stats.Cycles = pl.now
 }
 
 func max(a, b int) int {

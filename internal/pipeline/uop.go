@@ -84,6 +84,11 @@ type uop struct {
 	defIdx uint64 // definition-counter state after this uop (oracle mode)
 
 	robIdx int
+
+	// Event-driven wakeup (wakeup.go).
+	pending  int8  // sources whose producer had not begun executing at rename and still has not
+	iqPos    int32 // slot in pl.iq while the uop is in the window (uInIQ or uIssued)
+	wakeHead int32 // this producer's wake list (index into pl.wakeNodes; 0 = empty)
 }
 
 // hasDest reports whether the uop allocates a physical register.
