@@ -9,8 +9,11 @@ GO ?= go
 
 ci: vet build race bench-smoke alloc-gate json-check fuzz-smoke cover-gate telemetry-smoke explore-smoke mt-smoke fleet-check
 
+# go vet, then the formatting gate: any file gofmt would rewrite fails it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -27,7 +30,7 @@ bench:
 # One iteration of every benchmark, no unit tests: catches benchmarks that
 # no longer compile or crash without paying for real measurement.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/prog
 	$(GO) test -bench=. -benchtime=100x -run='^$$' ./internal/pipeline
 
 # The zero-allocation gates for the steady-state cycle loop (all schemes).
@@ -37,14 +40,20 @@ alloc-gate:
 # Measure the simulator performance trajectory and write it to
 # BENCH_pipeline.json as a go-test JSON event stream: end-to-end throughput
 # and the run layer from the root package, per-cycle and per-stage numbers
-# from the pipeline package. The durable-store path (append, lookup, warm
-# restart through the runner) lands in BENCH_store.json. Commit the
-# refreshed files to record a baseline.
+# from the pipeline package, and the functional layer (one executor step,
+# program generation, the oracle pre-pass, checkpoint capture). The
+# durable-store path (append, lookup, warm restart through the runner)
+# lands in BENCH_store.json. Commit the refreshed files to record a
+# baseline.
 bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulatorThroughput|BenchmarkRunnerColdSuite|BenchmarkIntervalThroughput' \
 		-benchtime=3x -benchmem -json . > BENCH_pipeline.json
 	$(GO) test -run='^$$' -bench='BenchmarkCycleSteadyState|BenchmarkStageBreakdown' \
 		-benchtime=100000x -benchmem -json ./internal/pipeline >> BENCH_pipeline.json
+	$(GO) test -run='^$$' -bench='BenchmarkExecStep|BenchmarkGenerate' \
+		-benchtime=1s -benchmem -json ./internal/prog >> BENCH_pipeline.json
+	$(GO) test -run='^$$' -bench='BenchmarkBuildOracle|BenchmarkCaptureCheckpoints' \
+		-benchtime=20x -benchmem -json ./internal/pipeline >> BENCH_pipeline.json
 	$(GO) test -run='^$$' -bench='BenchmarkStoreAppend|BenchmarkStoreLookup' \
 		-benchtime=2000x -benchmem -json . > BENCH_store.json
 	$(GO) test -run='^$$' -bench='BenchmarkRunnerWarmStore' \

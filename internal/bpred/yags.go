@@ -11,7 +11,7 @@ package bpred
 // budget in Table 1: an 8K-entry choice table (2 KB) plus two 4K-entry
 // direction caches with 8-bit tags and 2-bit counters (2×5 KB).
 type YAGS struct {
-	history uint64
+	history  uint64
 	histBits uint
 
 	choice []uint8 // 2-bit bias counters, indexed by PC

@@ -85,19 +85,19 @@ type Op uint8
 
 // Opcode classes (Table 1 execution resources).
 const (
-	OpNop Op = iota
-	OpIAlu     // integer add/sub/logical/shift/compare: 1 cycle
-	OpIMul     // integer multiply: 4 cycles
-	OpFAlu     // floating-point add/sub/convert/compare: 3 cycles
-	OpFMul     // floating-point multiply: 4 cycles
-	OpFDiv     // floating-point divide: 18 cycles
-	OpLoad     // memory load: 4-cycle load-to-use on an L1 hit
-	OpStore    // memory store: executes address+data, writes at retire
-	OpBranch   // conditional direct branch: 2-cycle resolution
-	OpJump     // unconditional direct jump
-	OpCall     // direct call: writes return address, pushes RAS
-	OpRet      // indirect jump through the return address: pops RAS
-	OpIndirect // computed indirect jump (switch tables, function pointers)
+	OpNop      Op = iota
+	OpIAlu        // integer add/sub/logical/shift/compare: 1 cycle
+	OpIMul        // integer multiply: 4 cycles
+	OpFAlu        // floating-point add/sub/convert/compare: 3 cycles
+	OpFMul        // floating-point multiply: 4 cycles
+	OpFDiv        // floating-point divide: 18 cycles
+	OpLoad        // memory load: 4-cycle load-to-use on an L1 hit
+	OpStore       // memory store: executes address+data, writes at retire
+	OpBranch      // conditional direct branch: 2-cycle resolution
+	OpJump        // unconditional direct jump
+	OpCall        // direct call: writes return address, pushes RAS
+	OpRet         // indirect jump through the return address: pops RAS
+	OpIndirect    // computed indirect jump (switch tables, function pointers)
 	numOps
 )
 
@@ -166,20 +166,20 @@ type Fn uint8
 // register value when Src2 is a real register, and the immediate otherwise
 // (register-or-literal form, as on Alpha).
 const (
-	FnAdd Fn = iota // dest = s1 + s2eff
-	FnSub           // dest = s1 - s2eff
-	FnAnd           // dest = s1 & s2eff
-	FnOr            // dest = s1 | s2eff
-	FnXor           // dest = s1 ^ s2eff
-	FnShl           // dest = s1 << (s2eff & 63)
-	FnShr           // dest = s1 >> (s2eff & 63)
-	FnMul           // dest = s1 * s2eff (also the FMul/FDiv behaviour stand-in)
-	FnLoadImm       // dest = imm
-	FnMov           // dest = s1
-	FnCmpEQ         // dest = 1 if s1 == s2eff else 0; branch: taken if s1 == 0
-	FnCmpNE         // dest = 1 if s1 != s2eff else 0; branch: taken if s1 != 0
-	FnCmpLT         // dest = 1 if int64(s1) <  int64(s2eff); branch: s1 < 0
-	FnCmpGE         // dest = 1 if int64(s1) >= int64(s2eff); branch: s1 >= 0
+	FnAdd     Fn = iota // dest = s1 + s2eff
+	FnSub               // dest = s1 - s2eff
+	FnAnd               // dest = s1 & s2eff
+	FnOr                // dest = s1 | s2eff
+	FnXor               // dest = s1 ^ s2eff
+	FnShl               // dest = s1 << (s2eff & 63)
+	FnShr               // dest = s1 >> (s2eff & 63)
+	FnMul               // dest = s1 * s2eff (also the FMul/FDiv behaviour stand-in)
+	FnLoadImm           // dest = imm
+	FnMov               // dest = s1
+	FnCmpEQ             // dest = 1 if s1 == s2eff else 0; branch: taken if s1 == 0
+	FnCmpNE             // dest = 1 if s1 != s2eff else 0; branch: taken if s1 != 0
+	FnCmpLT             // dest = 1 if int64(s1) <  int64(s2eff); branch: s1 < 0
+	FnCmpGE             // dest = 1 if int64(s1) >= int64(s2eff); branch: s1 >= 0
 	numFns
 )
 

@@ -100,30 +100,24 @@ func CaptureCheckpoints(p *prog.Program, points []uint64, memCfg memsys.Config) 
 	warm := memsys.New(memCfg)
 	out := make([]Checkpoint, 0, len(points))
 	var n, defs uint64
-	for _, pt := range points {
-		for n < pt {
-			in := p.InstAt(e.PC())
-			if in == nil {
-				break
-			}
-			pc := e.PC()
-			s := e.StepInst(in)
-			warm.WarmFetch(pc)
-			switch in.Op {
-			case isa.OpLoad:
-				warm.WarmLoad(s.MemAddr)
-			case isa.OpStore:
-				warm.WarmStore(s.MemAddr)
-			}
-			if in.HasDest() {
-				defs++
-			}
-			n++
+	visit := func(in *isa.Inst, s prog.Step) {
+		warm.WarmFetch(in.PC)
+		switch in.Op {
+		case isa.OpLoad:
+			warm.WarmLoad(s.MemAddr)
+		case isa.OpStore:
+			warm.WarmStore(s.MemAddr)
 		}
-		// The pre-pass never speculates: commit the undo log so the
-		// snapshot sees a clean architectural point (and the log stays
-		// bounded across long captures).
-		e.Commit(e.Checkpoint())
+		if in.HasDest() {
+			defs++
+		}
+	}
+	for _, pt := range points {
+		// The walk leaves the executor committed, so the snapshot sees a
+		// clean architectural point.
+		if pt > n {
+			n += e.Walk(pt-n, visit)
+		}
 		ck := Checkpoint{Inst: n, DefBase: defs, State: e.State()}
 		if n > 0 {
 			// The entry checkpoint stays cold: starting cold there is

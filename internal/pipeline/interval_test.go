@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"regcache/internal/isa"
 	"regcache/internal/memsys"
 	"regcache/internal/prog"
 )
@@ -82,16 +83,12 @@ func TestCaptureCheckpointsAlignment(t *testing.T) {
 	// DefBase must count exactly the register-writing instructions the
 	// oracle pre-pass counts: resuming the pre-pass from a checkpoint has
 	// to land on the same def indices (the oracle-table alignment).
-	e := prog.NewExec(p)
-	var n, defs uint64
-	for n < 5_000 {
-		in := p.InstAt(e.PC())
-		e.StepInst(in)
+	var defs uint64
+	prog.NewExec(p).Walk(5_000, func(in *isa.Inst, _ prog.Step) {
 		if in.HasDest() {
 			defs++
 		}
-		n++
-	}
+	})
 	if defs != cks[2].DefBase {
 		t.Errorf("checkpoint def base %d, independent recount %d", cks[2].DefBase, defs)
 	}

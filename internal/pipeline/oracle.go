@@ -33,7 +33,6 @@ type OracleTable struct {
 // and safe to share across concurrently running pipelines.
 func BuildOracle(p *prog.Program, maxInsts uint64) *OracleTable {
 	total := maxInsts + maxInsts/4 + 4096
-	e := prog.NewExec(p)
 	t := &OracleTable{uses: make([]uint8, 0, total)}
 	// defOf[r] is the table index of architectural register r's current
 	// definition; -1 when the initial value is current.
@@ -41,12 +40,7 @@ func BuildOracle(p *prog.Program, maxInsts uint64) *OracleTable {
 	for i := range defOf {
 		defOf[i] = -1
 	}
-	for i := uint64(0); i < total; i++ {
-		in := p.InstAt(e.PC())
-		if in == nil {
-			break
-		}
-		e.StepInst(in)
+	prog.NewExec(p).Walk(total, func(in *isa.Inst, _ prog.Step) {
 		for _, r := range [...]isa.Reg{in.Src1, in.Src2} {
 			if r != isa.RegNone && !r.IsZeroReg() {
 				if d := defOf[r.Index()]; d >= 0 && t.uses[d] < 255 {
@@ -58,7 +52,7 @@ func BuildOracle(p *prog.Program, maxInsts uint64) *OracleTable {
 			defOf[in.Dest.Index()] = len(t.uses)
 			t.uses = append(t.uses, 0)
 		}
-	}
+	})
 	return t
 }
 

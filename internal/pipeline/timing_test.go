@@ -154,12 +154,8 @@ func TestWrongPathStatistics(t *testing.T) {
 	pl := New(DefaultConfig(), p)
 	const n = 50_000
 	// Reference functional stream.
-	e := prog.NewExec(p)
-	refPCs := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		refPCs[i] = e.PC()
-		e.Step()
-	}
+	refPCs := make([]uint64, 0, n)
+	prog.NewExec(p).Walk(n, func(in *isa.Inst, _ prog.Step) { refPCs = append(refPCs, in.PC) })
 	idx := 0
 	mismatch := false
 	pl.RetireHook = func(u *Uop) {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"regcache/internal/core"
 	"regcache/internal/isa"
-	"regcache/internal/prog"
 )
 
 // uopState tracks an instruction's progress through the backend.
@@ -44,7 +43,11 @@ type uop struct {
 	seq  uint64
 	tid  int32 // hardware context that fetched this instruction
 	inst *isa.Inst
-	step prog.Step
+
+	// Functional outcome (execute-at-fetch): the parts of the step the
+	// timing model reads.
+	memAddr uint64 // loads and stores: word-aligned effective address
+	nextPC  uint64 // actual next PC
 
 	// Rename results.
 	destPreg core.PReg // -1 when no destination
@@ -63,6 +66,7 @@ type uop struct {
 	pathBefore   uint64 // indirect path history when the prediction was made
 
 	// Branch prediction outcome.
+	taken        bool // actual direction (prog.Step.Taken)
 	predTaken    bool
 	mispredicted bool
 

@@ -14,14 +14,14 @@ import (
 // generated workload has the statistical shape the study needs and powers
 // cmd/tracegen.
 type Characterization struct {
-	Name         string
-	Insts        uint64
-	OpCounts     map[isa.Op]uint64
-	DegreeOfUse  *stats.Histogram // reads per architectural definition
-	CondBranches uint64
-	CondTaken    uint64
+	Name          string
+	Insts         uint64
+	OpCounts      map[isa.Op]uint64
+	DegreeOfUse   *stats.Histogram // reads per architectural definition
+	CondBranches  uint64
+	CondTaken     uint64
 	StaticTouched int // distinct static instructions executed
-	UniqueAddrs  int  // distinct word addresses touched by loads/stores
+	UniqueAddrs   int // distinct word addresses touched by loads/stores
 }
 
 // Characterize functionally executes the first n dynamic instructions and
@@ -33,18 +33,11 @@ func Characterize(p *Program, n uint64) *Characterization {
 		OpCounts:    make(map[isa.Op]uint64),
 		DegreeOfUse: stats.NewHistogram(),
 	}
-	e := NewExec(p)
 	reads := [isa.NumArchRegs]int{}
 	defined := [isa.NumArchRegs]bool{}
 	touched := make(map[uint64]struct{})
 	addrs := make(map[uint64]struct{})
-	for i := uint64(0); i < n; i++ {
-		in := p.InstAt(e.PC())
-		if in == nil {
-			break
-		}
-		s := e.StepInst(in)
-		c.Insts++
+	c.Insts = NewExec(p).Walk(n, func(in *isa.Inst, s Step) {
 		c.OpCounts[in.Op]++
 		touched[in.PC] = struct{}{}
 		for _, r := range [...]isa.Reg{in.Src1, in.Src2} {
@@ -68,7 +61,7 @@ func Characterize(p *Program, n uint64) *Characterization {
 		if in.Op.IsMem() {
 			addrs[s.MemAddr] = struct{}{}
 		}
-	}
+	})
 	c.StaticTouched = len(touched)
 	c.UniqueAddrs = len(addrs)
 	return c

@@ -2,20 +2,21 @@ package prog
 
 import (
 	"fmt"
+	"maps"
 
 	"regcache/internal/isa"
 )
 
 // Step describes the functional outcome of executing one instruction: the
 // source values read, the result produced, the branch decision, and the
-// memory address touched. The timing simulator records Steps at rename time
-// (execute-at-fetch style) and uses them to drive branch resolution and the
-// memory system.
+// memory address touched. The timing simulator steps at rename time
+// (execute-at-fetch style) and keeps the branch outcome, next PC and
+// address to drive branch resolution and the memory system.
 type Step struct {
 	Inst    *isa.Inst
 	S1, S2  uint64 // source values (0 for unused slots)
 	Result  uint64 // destination value (loads: loaded value)
-	Taken   bool   // conditional branches only
+	Taken   bool   // branch direction; true for every other control transfer
 	NextPC  uint64 // actual next PC
 	MemAddr uint64 // word-aligned effective address for loads/stores
 }
@@ -28,25 +29,31 @@ type Step struct {
 type Exec struct {
 	prog *Program
 	regs [isa.NumArchRegs]uint64
-	mem  map[uint64]memCell
+	mem  map[uint64]uint64 // store overlay
 	pc   uint64
 	log  []undoRec
 	head int // index of the first uncommitted record in log
 	base int // virtual position of log[0]; tokens are base-relative
 }
 
-// memCell is one word of the store overlay.
-type memCell struct {
-	val uint64
-}
+// undoKind names the architectural write an undo record reverses.
+type undoKind uint8
 
-// undoRec reverses one architectural state change.
+const (
+	undoPC  undoKind = iota // no register or memory write: the PC alone
+	undoReg                 // register addrReg held oldVal
+	undoMem                 // memory word addrReg held oldVal (when hadVal)
+)
+
+// undoRec reverses one step or one ForcePC: an instruction writes at most
+// one register or one memory word, so a single record holds that write's
+// old value plus the PC the step or redirect left.
 type undoRec struct {
-	isMem   bool
-	isPC    bool
-	addrReg uint64 // memory address, register number, or old PC
+	kind    undoKind
+	hadVal  bool   // undoMem: whether the overlay held a value before
+	prevPC  uint64 // PC before the step or redirect
+	addrReg uint64 // memory address or register index
 	oldVal  uint64
-	hadVal  bool // memory only: whether the overlay held a value before
 }
 
 // NewExec creates an executor positioned at the program entry with the
@@ -54,7 +61,7 @@ type undoRec struct {
 func NewExec(p *Program) *Exec {
 	e := &Exec{
 		prog: p,
-		mem:  make(map[uint64]memCell, 1024),
+		mem:  make(map[uint64]uint64, 1024),
 		pc:   p.Entry(),
 	}
 	e.regs[isa.SP] = StackBase
@@ -79,11 +86,7 @@ func (e *Exec) State() ExecState {
 	if e.LogLen() != 0 {
 		panic("prog: State taken with uncommitted speculative work")
 	}
-	st := ExecState{Regs: e.regs, PC: e.pc, Mem: make(map[uint64]uint64, len(e.mem))}
-	for a, c := range e.mem {
-		st.Mem[a] = c.val
-	}
-	return st
+	return ExecState{Regs: e.regs, PC: e.pc, Mem: maps.Clone(e.mem)}
 }
 
 // NewExecAt creates an executor positioned at a previously captured state.
@@ -93,12 +96,10 @@ func NewExecAt(p *Program, st ExecState) *Exec {
 	e := &Exec{
 		prog: p,
 		regs: st.Regs,
-		mem:  make(map[uint64]memCell, len(st.Mem)+1024),
+		mem:  make(map[uint64]uint64, len(st.Mem)+1024),
 		pc:   st.PC,
 	}
-	for a, v := range st.Mem {
-		e.mem[a] = memCell{val: v}
-	}
+	maps.Copy(e.mem, st.Mem)
 	return e
 }
 
@@ -117,8 +118,8 @@ func (e *Exec) Reg(r isa.Reg) uint64 {
 // the static image, then the procedural initial-memory function.
 func (e *Exec) Load(addr uint64) uint64 {
 	addr &^= 7
-	if c, ok := e.mem[addr]; ok {
-		return c.val
+	if v, ok := e.mem[addr]; ok {
+		return v
 	}
 	if v, ok := e.prog.Image[addr]; ok {
 		return v
@@ -126,28 +127,24 @@ func (e *Exec) Load(addr uint64) uint64 {
 	return HashMem(e.prog.MemSeed, addr)
 }
 
-// store writes a word, recording an undo entry.
-func (e *Exec) store(addr, val uint64) {
+// store writes a word, noting its old value in the step's undo record.
+func (e *Exec) store(rec *undoRec, addr, val uint64) {
 	addr &^= 7
 	old, had := e.mem[addr]
-	e.log = append(e.log, undoRec{isMem: true, addrReg: addr, oldVal: old.val, hadVal: had})
-	e.mem[addr] = memCell{val: val}
+	rec.kind, rec.addrReg, rec.oldVal, rec.hadVal = undoMem, addr, old, had
+	e.mem[addr] = val
 }
 
-// setReg writes a register, recording an undo entry. Writes to zero
-// registers are discarded (no undo entry needed).
-func (e *Exec) setReg(r isa.Reg, val uint64) {
+// setReg writes a register, noting its old value in the step's undo
+// record. Writes to zero registers are discarded (the record stays
+// PC-only).
+func (e *Exec) setReg(rec *undoRec, r isa.Reg, val uint64) {
 	if r == isa.RegNone || r.IsZeroReg() {
 		return
 	}
-	e.log = append(e.log, undoRec{addrReg: uint64(r.Index()), oldVal: e.regs[r.Index()]})
-	e.regs[r.Index()] = val
-}
-
-// setPC moves the program counter, recording an undo entry.
-func (e *Exec) setPC(pc uint64) {
-	e.log = append(e.log, undoRec{isPC: true, addrReg: e.pc})
-	e.pc = pc
+	i := r.Index()
+	rec.kind, rec.addrReg, rec.oldVal = undoReg, uint64(i), e.regs[i]
+	e.regs[i] = val
 }
 
 // Checkpoint returns a token capturing the current speculative depth.
@@ -163,19 +160,18 @@ func (e *Exec) Rollback(token int) {
 		panic(fmt.Sprintf("prog: bad rollback token %d (base %d, head %d, log %d)", token, e.base, e.head, len(e.log)))
 	}
 	for i := len(e.log) - 1; i >= idx; i-- {
-		u := e.log[i]
-		switch {
-		case u.isMem:
+		u := &e.log[i]
+		switch u.kind {
+		case undoReg:
+			e.regs[u.addrReg] = u.oldVal
+		case undoMem:
 			if u.hadVal {
-				e.mem[u.addrReg] = memCell{val: u.oldVal}
+				e.mem[u.addrReg] = u.oldVal
 			} else {
 				delete(e.mem, u.addrReg)
 			}
-		case u.isPC:
-			e.pc = u.addrReg
-		default:
-			e.regs[u.addrReg] = u.oldVal
 		}
+		e.pc = u.prevPC
 	}
 	e.log = e.log[:idx]
 }
@@ -209,11 +205,44 @@ func (e *Exec) Commit(token int) {
 // tests and for the pipeline's token bookkeeping).
 func (e *Exec) LogLen() int { return len(e.log) - e.head }
 
-// ForcePC redirects the program counter, recording an undo entry. The
-// timing pipeline uses this to steer execution down the *predicted* path
-// after a functionally resolved branch disagrees with the prediction;
+// ForcePC redirects the program counter, recording a PC-only undo entry.
+// The timing pipeline uses this to steer execution down the *predicted*
+// path after a functionally resolved branch disagrees with the prediction;
 // rollback at recovery restores the correct-path PC.
-func (e *Exec) ForcePC(pc uint64) { e.setPC(pc) }
+func (e *Exec) ForcePC(pc uint64) {
+	e.log = append(e.log, undoRec{prevPC: e.pc})
+	e.pc = pc
+}
+
+// walkCommitEvery is how many steps a Walk runs between commits: the
+// undo log it carries never grows past this.
+const walkCommitEvery = 256
+
+// Walk executes up to n instructions from the current PC, calling visit
+// (when non-nil) with each instruction and its outcome, and stops early
+// at a PC that maps to no instruction. It returns the number executed.
+// Walk is the functional pre-pass: it never speculates, so it commits
+// the undo log as it goes and once more on return — everything before
+// the walk included — leaving the executor at a committed point (State
+// may be taken) and the log bounded by walkCommitEvery records.
+func (e *Exec) Walk(n uint64, visit func(in *isa.Inst, s Step)) uint64 {
+	var i uint64
+	for ; i < n; i++ {
+		in := e.prog.InstAt(e.pc)
+		if in == nil {
+			break
+		}
+		s := e.StepInst(in)
+		if visit != nil {
+			visit(in, s)
+		}
+		if e.LogLen() >= walkCommitEvery {
+			e.Commit(e.Checkpoint())
+		}
+	}
+	e.Commit(e.Checkpoint())
+	return i
+}
 
 // Step executes the instruction at the current PC and advances. It panics
 // if the PC does not map to an instruction; callers on speculative paths
@@ -227,10 +256,12 @@ func (e *Exec) Step() Step {
 }
 
 // StepInst executes in (which must be the instruction at the current PC)
-// and advances the PC to the functional next PC. All architectural changes
-// are undo-logged.
+// and advances the PC to the functional next PC. The step's architectural
+// changes — at most one register or memory write, and the PC — go into
+// one undo record.
 func (e *Exec) StepInst(in *isa.Inst) Step {
 	s := Step{Inst: in, S1: e.Reg(in.Src1), S2: e.Reg(in.Src2)}
+	rec := undoRec{prevPC: e.pc}
 	next := in.FallThrough()
 	switch in.Op {
 	case isa.OpNop:
@@ -240,14 +271,14 @@ func (e *Exec) StepInst(in *isa.Inst) Step {
 			s2eff = uint64(in.Imm)
 		}
 		s.Result = isa.EvalALU(in.Fn, in.Imm, s.S1, s2eff)
-		e.setReg(in.Dest, s.Result)
+		e.setReg(&rec, in.Dest, s.Result)
 	case isa.OpLoad:
 		s.MemAddr = (s.S1 + uint64(in.Imm)) &^ 7
 		s.Result = e.Load(s.MemAddr)
-		e.setReg(in.Dest, s.Result)
+		e.setReg(&rec, in.Dest, s.Result)
 	case isa.OpStore:
 		s.MemAddr = (s.S1 + uint64(in.Imm)) &^ 7
-		e.store(s.MemAddr, s.S2)
+		e.store(&rec, s.MemAddr, s.S2)
 	case isa.OpBranch:
 		s.Taken = isa.BranchTaken(in.Fn, s.S1)
 		if s.Taken {
@@ -259,7 +290,7 @@ func (e *Exec) StepInst(in *isa.Inst) Step {
 	case isa.OpCall:
 		s.Taken = true
 		s.Result = in.FallThrough()
-		e.setReg(in.Dest, s.Result)
+		e.setReg(&rec, in.Dest, s.Result)
 		next = in.Target
 	case isa.OpRet, isa.OpIndirect:
 		s.Taken = true
@@ -268,6 +299,7 @@ func (e *Exec) StepInst(in *isa.Inst) Step {
 		panic(fmt.Sprintf("prog: unknown opcode %v", in.Op))
 	}
 	s.NextPC = next
-	e.setPC(next)
+	e.pc = next
+	e.log = append(e.log, rec)
 	return s
 }

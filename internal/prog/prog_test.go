@@ -111,7 +111,7 @@ func TestExecMemoryLayers(t *testing.T) {
 		t.Fatal("procedural memory does not match HashMem")
 	}
 	// Stores overlay both layers.
-	e.store(0x1234_5678, 7)
+	e.store(&undoRec{}, 0x1234_5678, 7)
 	if e.Load(0x1234_5678) != 7 {
 		t.Fatal("store overlay not visible")
 	}
@@ -202,7 +202,7 @@ func TestCallRet(t *testing.T) {
 	if !s.Taken || e.Reg(isa.RA) != p.Entry()+isa.InstBytes {
 		t.Fatal("call did not record return address")
 	}
-	e.Step() // li in f
+	e.Step()     // li in f
 	s = e.Step() // ret
 	if s.NextPC != p.Entry()+isa.InstBytes {
 		t.Fatalf("ret went to %#x, want %#x", s.NextPC, p.Entry()+isa.InstBytes)
@@ -243,12 +243,8 @@ func TestGeneratedProgramsRun(t *testing.T) {
 	for _, prof := range SPECProfiles {
 		p := MustGenerate(prof)
 		e := NewExec(p)
-		for i := 0; i < steps; i++ {
-			in := p.InstAt(e.PC())
-			if in == nil {
-				t.Fatalf("%s: execution fell off code at %#x after %d steps", prof.Name, e.PC(), i)
-			}
-			e.StepInst(in)
+		if n := e.Walk(steps, nil); n != steps {
+			t.Fatalf("%s: execution fell off code at %#x after %d steps", prof.Name, e.PC(), n)
 		}
 	}
 }

@@ -86,10 +86,10 @@ func (p *Program) Validate() error {
 // labels. Branch targets may reference labels defined later; Finish patches
 // them all and validates the result.
 type Builder struct {
-	name    string
-	insts   []isa.Inst
-	image   map[uint64]uint64
-	memSeed uint64
+	name        string
+	insts       []isa.Inst
+	image       map[uint64]uint64
+	memSeed     uint64
 	labels      map[string]uint64
 	patches     []patch
 	dataPatches []dataPatch

@@ -13,11 +13,11 @@ import (
 // values), dead = last read->free.
 func TestLifetimePhaseTable(t *testing.T) {
 	cases := []struct {
-		name                   string
-		alloc, write           uint64
-		reads                  []uint64
-		free                   uint64
-		empty, live, dead      int
+		name              string
+		alloc, write      uint64
+		reads             []uint64
+		free              uint64
+		empty, live, dead int
 	}{
 		{"read-once", 10, 14, []uint64{20}, 30, 4, 6, 10},
 		{"read-many-out-of-order", 0, 5, []uint64{9, 30, 12}, 40, 5, 25, 10},

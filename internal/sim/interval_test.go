@@ -7,7 +7,9 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"regcache/internal/core"
@@ -166,5 +168,37 @@ func TestRunnerIntervalAccounting(t *testing.T) {
 	}
 	if ws.CheckpointHits == 0 {
 		t.Errorf("CheckpointHits = 0, want the second scheme to join the shared set")
+	}
+}
+
+// goldenIntervalOracleFingerprints pins the serialized RunRecord of a
+// K=2 interval run of the oracle use-based scheme at 50k instructions,
+// captured before the functional pre-passes moved onto the committed
+// walk. It covers both pre-passes at once: checkpoint capture (the
+// architectural state and warm memory image each interval starts from)
+// and the oracle table (each interval's definition index base).
+var goldenIntervalOracleFingerprints = map[string]string{
+	"gzip": "149815100029fecc45ce8486e6a13d1a3d8af17a0927584ef16eb6c3c18fc823",
+	"mcf":  "069a1aaddd60791fadd41ad2bc9358cfdfc63ffcff141404ec4283928ac8d0b5",
+}
+
+func TestIntervalOracleGoldenFingerprints(t *testing.T) {
+	s, err := ParseSchemeSpec("use:64x2:filtered:oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Insts: 50_000, Intervals: 2}
+	for bench, want := range goldenIntervalOracleFingerprints {
+		res, err := ExecuteWith(NewWorkloadCache(), bench, s, o)
+		if err != nil {
+			t.Fatalf("%s: %v", bench, err)
+		}
+		data, err := json.Marshal(NewRunRecord(bench, s, o, res))
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", bench, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s: K=2 oracle RunRecord fingerprint drifted:\n got %s\nwant %s", bench, got, want)
+		}
 	}
 }

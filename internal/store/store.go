@@ -72,8 +72,8 @@ func (o Options) withDefaults() Options {
 // entry locates one live record.
 type entry struct {
 	seg     uint32
-	off     int64 // frame start within the segment file
-	len     int64 // full framed length
+	off     int64  // frame start within the segment file
+	len     int64  // full framed length
 	seq     uint64 // insertion order, monotonic within one open store
 	lastHit uint64 // Get-hit ordinal; 0 = never re-hit since open
 }
