@@ -42,8 +42,8 @@ alloc-gate:
 # and the run layer from the root package, per-cycle and per-stage numbers
 # from the pipeline package, and the functional layer (one executor step,
 # program generation, the oracle pre-pass, checkpoint capture). The
-# durable-store path (append, lookup, warm restart through the runner)
-# lands in BENCH_store.json. Commit the refreshed files to record a
+# durable-store path (append, lookup, payload decode, warm restart through
+# the runner) lands in BENCH_store.json. Commit the refreshed files to record a
 # baseline.
 bench-json:
 	$(GO) test -run='^$$' -bench='BenchmarkSimulatorThroughput|BenchmarkRunnerColdSuite|BenchmarkIntervalThroughput' \
@@ -56,6 +56,8 @@ bench-json:
 		-benchtime=20x -benchmem -json ./internal/pipeline >> BENCH_pipeline.json
 	$(GO) test -run='^$$' -bench='BenchmarkStoreAppend|BenchmarkStoreLookup' \
 		-benchtime=2000x -benchmem -json . > BENCH_store.json
+	$(GO) test -run='^$$' -bench='BenchmarkStoredPayloadDecode' \
+		-benchtime=20000x -benchmem -json . >> BENCH_store.json
 	$(GO) test -run='^$$' -bench='BenchmarkRunnerWarmStore' \
 		-benchtime=10x -benchmem -json . >> BENCH_store.json
 	$(GO) test -run='^$$' -bench='BenchmarkFleetScatterGather' \
@@ -109,8 +111,9 @@ mt-smoke:
 # (arbitrary profiles through generate -> validate -> execute, including
 # the per-context ThreadProfile derivation), the durable store's record
 # decoder (arbitrary segment bytes through the crash-recovery scanner),
-# the explore-spec parser (ports/threads axes included), and the compact
-# scheme-spec grammar (port-filtering modifiers and kinds). Regressions
+# the explore-spec parser (ports/threads axes included), the compact
+# scheme-spec grammar (port-filtering modifiers and kinds), and the binary
+# store payload decoder (arbitrary bytes must fail or re-encode exactly). Regressions
 # land as crashers here long before they corrupt a simulation. The
 # committed corpora under testdata/fuzz/ replay on every plain `go test`
 # run too.
@@ -120,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzStoreDecode$$' -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzExploreSpec$$' -fuzztime=10s ./internal/explore
 	$(GO) test -run='^$$' -fuzz='^FuzzSchemeSpec$$' -fuzztime=10s ./internal/sim
+	$(GO) test -run='^$$' -fuzz='^FuzzStoredPayload$$' -fuzztime=10s ./internal/sim
 
 # Whole-module statement coverage. The floor trails the measured baseline
 # (81.9% when the exploration engine landed) by a small margin; raise it

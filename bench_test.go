@@ -174,8 +174,10 @@ func BenchmarkRunnerMemoizedSuite(b *testing.B) {
 	b.ReportMetric(float64(st.CacheHits)/float64(max(b.N-1, 1)), "hits/op")
 }
 
-// storeBenchValue is sized like a real stored result payload (~3 KiB of
-// JSON for a cache-scheme run).
+// storeBenchValue is 3 KiB, the size of a cache-scheme result payload
+// when payloads were JSON; binary payloads are about 0.4 KiB, so this
+// overstates the bytes framed, CRC-checked and copied per record. The
+// size is kept so the store's benchmark history stays comparable.
 func storeBenchValue() []byte {
 	v := make([]byte, 3<<10)
 	for i := range v {
@@ -232,10 +234,36 @@ func BenchmarkStoreLookup(b *testing.B) {
 	}
 }
 
+// payloadSink keeps BenchmarkStoredPayloadDecode's result live.
+var payloadSink sim.RunRecord
+
+// BenchmarkStoredPayloadDecode measures decoding one store payload — the
+// curated record and the full pipeline.Result of a cache-scheme run —
+// which every store hit pays after the read and CRC check.
+func BenchmarkStoredPayloadDecode(b *testing.B) {
+	s := sim.UseBased(64, 2, core.IndexFilteredRR)
+	opts := sim.Options{Insts: benchOptions().Insts}
+	res, err := sim.ExecuteWith(sim.NewWorkloadCache(), "gzip", s, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := sim.EncodeStoredPayload("gzip", s, opts, res)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, _, err := sim.DecodeStoredPayload(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloadSink = rec
+	}
+}
+
 // BenchmarkRunnerWarmStore measures a warm restart through the run layer:
 // the store holds every suite point, the memo is cleared each iteration
-// (a fresh process generation), so every request is a store hit — decode,
-// CRC check, JSON unmarshal — instead of a simulation.
+// (a fresh process generation), so every request is a store hit — key
+// fingerprint, read, CRC check, binary payload decode — instead of a
+// simulation.
 func BenchmarkRunnerWarmStore(b *testing.B) {
 	o := benchOptions()
 	opts := sim.Options{Insts: o.Insts}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -89,7 +90,7 @@ func cmdLs(args []string) error {
 		return err
 	}
 	defer st.Close()
-	n, undecodable := 0, 0
+	n, stale, undecodable := 0, 0, 0
 	for _, info := range st.Entries() {
 		val, err := st.Get(info.Key)
 		if err != nil {
@@ -97,8 +98,15 @@ func cmdLs(args []string) error {
 			undecodable++
 			continue
 		}
-		rec, err := sim.DecodeStoredResult(val)
-		if err != nil {
+		rec, _, err := sim.DecodeStoredPayload(val)
+		switch {
+		case errors.Is(err, sim.ErrStalePayload):
+			// Written under an older payload layout: its key can no
+			// longer match, so it is dead weight until compact/gc.
+			fmt.Printf("%x  seg %d  %6d B  %v\n", info.Key[:6], info.Segment, info.Len, err)
+			stale++
+			continue
+		case err != nil:
 			fmt.Printf("%x  seg %d  %6d B  %v\n", info.Key[:6], info.Segment, info.Len, err)
 			undecodable++
 			continue
@@ -108,6 +116,9 @@ func cmdLs(args []string) error {
 		n++
 	}
 	fmt.Printf("%d entries", n)
+	if stale > 0 {
+		fmt.Printf(" (%d stale payload version)", stale)
+	}
 	if undecodable > 0 {
 		fmt.Printf(" (%d undecodable)", undecodable)
 	}

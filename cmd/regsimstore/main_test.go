@@ -6,6 +6,7 @@ package main
 // compact/gc maintenance paths.
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,6 +53,40 @@ func TestLsStatsVerify(t *testing.T) {
 	}
 	if err := cmdStats([]string{"-dir", filepath.Join(dir, "missing")}); err == nil {
 		t.Error("stats on a missing directory must fail")
+	}
+}
+
+// TestLsReportsStalePayloads: entries written under the JSON payload
+// layout (version 1) list as stale, next to current ones, without failing.
+func TestLsReportsStalePayloads(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join("..", "..", "internal", "sim", "testdata", "store-payload-v1", "seg-00000001.rcs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-00000001.rcs"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	populate(t, dir, 1)
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	lsErr := cmdLs([]string{"-dir", dir})
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if lsErr != nil {
+		t.Fatalf("ls: %v", lsErr)
+	}
+	if !strings.Contains(string(out), "1 entries (2 stale payload version)\n") || strings.Contains(string(out), "undecodable") {
+		t.Errorf("ls output:\n%s\nwant one current entry and two stale ones", out)
 	}
 }
 

@@ -3,6 +3,7 @@ package bpred
 import (
 	"testing"
 
+	"regcache/internal/isa"
 	"regcache/internal/prog"
 )
 
@@ -189,12 +190,8 @@ func TestYAGSOnGeneratedWorkload(t *testing.T) {
 		e := prog.NewExec(p)
 		y := NewYAGS(YAGSConfig{})
 		correct, total := 0, 0
-		for i := 0; i < 150_000; i++ {
-			in := p.InstAt(e.PC())
-			if in == nil {
-				t.Fatalf("%s: fell off code", name)
-			}
-			s := e.StepInst(in)
+		const steps = 150_000
+		n := e.Walk(steps, func(in *isa.Inst, s prog.Step) {
 			if in.Op.IsCond() {
 				h := y.History()
 				pred := y.Predict(in.PC)
@@ -205,6 +202,9 @@ func TestYAGSOnGeneratedWorkload(t *testing.T) {
 					correct++
 				}
 			}
+		})
+		if n != steps {
+			t.Fatalf("%s: fell off code after %d of %d steps", name, n, steps)
 		}
 		acc := float64(correct) / float64(total)
 		min := 0.85

@@ -458,6 +458,9 @@ func TestClusterStoreEndpointServesShard(t *testing.T) {
 				t.Errorf("owner %s has no shard entry for %s/%s: status %d", owner, sc.Name, b, resp.StatusCode)
 				continue
 			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+				t.Errorf("shard payload Content-Type %q, want application/octet-stream", ct)
+			}
 			rec, _, err := sim.DecodeStoredPayload(data)
 			if err != nil {
 				t.Fatalf("decode shard payload for %s/%s: %v", sc.Name, b, err)

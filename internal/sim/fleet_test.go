@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -181,10 +182,7 @@ func TestFingerprintMatchesStoreKey(t *testing.T) {
 func TestStoredPayloadRoundTrip(t *testing.T) {
 	schemes, benches, opts, _ := fleetTestMatrix(t)
 	res := pipeline.Result{IPC: 1.5, Stats: pipeline.Stats{Cycles: 200, Retired: 300}}
-	data, err := EncodeStoredPayload(benches[0], schemes[0], opts, res)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	data := EncodeStoredPayload(benches[0], schemes[0], opts, res)
 	rec, got, err := DecodeStoredPayload(data)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -206,10 +204,13 @@ func TestStoredPayloadRoundTrip(t *testing.T) {
 		t.Error("run record from decoded payload differs from original")
 	}
 
-	if _, _, err := DecodeStoredPayload([]byte(`{"payload_version":99}`)); err == nil {
-		t.Error("future payload version accepted")
+	if _, _, err := DecodeStoredPayload([]byte{99}); !errors.Is(err, ErrStalePayload) {
+		t.Errorf("future payload version: %v, want ErrStalePayload", err)
 	}
-	if _, _, err := DecodeStoredPayload([]byte(`not json`)); err == nil {
-		t.Error("garbage payload accepted")
+	if _, _, err := DecodeStoredPayload([]byte(`{"payload_version":1}`)); !errors.Is(err, ErrStalePayload) {
+		t.Errorf("JSON (version 1) payload: %v, want ErrStalePayload", err)
+	}
+	if _, _, err := DecodeStoredPayload(data[:len(data)-1]); err == nil || errors.Is(err, ErrStalePayload) {
+		t.Errorf("truncated payload: %v, want a decode error", err)
 	}
 }

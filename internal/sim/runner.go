@@ -770,17 +770,37 @@ func (r *Runner) CompletedJobs() []JobResult {
 	}
 	r.mu.Unlock()
 	out := make([]JobResult, 0, len(entries))
+	keys := make([]string, 0, len(entries))
 	for j, e := range entries {
 		select {
 		case <-e.done:
 			if e.err == nil {
 				out = append(out, JobResult{Job: j, Result: e.res})
+				keys = append(keys, j.Key())
 			}
 		default: // still in flight
 		}
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Job.Key() < out[k].Job.Key() })
+	sortByKeys(out, keys)
 	return out
+}
+
+// sortByKeys sorts jrs by keys, where keys[i] is jrs[i].Job.Key(): Key is
+// a Sprintf of the whole scheme, so each is built once, not per compare.
+func sortByKeys(jrs []JobResult, keys []string) {
+	sort.Sort(keyedResults{jrs, keys})
+}
+
+type keyedResults struct {
+	jrs  []JobResult
+	keys []string
+}
+
+func (k keyedResults) Len() int           { return len(k.jrs) }
+func (k keyedResults) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
+func (k keyedResults) Swap(i, j int) {
+	k.jrs[i], k.jrs[j] = k.jrs[j], k.jrs[i]
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
 }
 
 // The process-wide runner used by Run and RunSuite. Its pool size can be

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -231,6 +233,41 @@ func TestJobKeyDistinguishesConfigs(t *testing.T) {
 	}
 	if !strings.Contains(ka, "gzip") {
 		t.Errorf("key %q missing benchmark", ka)
+	}
+}
+
+// TestSortByKeysMatchesKeyComparator: CompletedJobs builds each sort key
+// once; the order must be exactly the one comparing Job.Key() per pair.
+func TestSortByKeysMatchesKeyComparator(t *testing.T) {
+	oracle := UseBased(64, 2, core.IndexFilteredRR)
+	oracle.Name, oracle.OracleUses = "use-oracle", true
+	schemes := append(DefaultMatrix(), oracle)
+	optsSet := []Options{
+		{Insts: 1000},
+		{Insts: 2000, Intervals: 2, WarmupInsts: 500},
+		{Insts: 1000, TrackLifetimes: true},
+	}
+	var jrs []JobResult
+	for _, s := range schemes {
+		for _, b := range []string{"gzip", "mcf", "vpr"} {
+			for _, o := range optsSet {
+				jrs = append(jrs, JobResult{Job: Job{Scheme: s, Bench: b, Opts: o}})
+			}
+		}
+	}
+	rand.New(rand.NewSource(7)).Shuffle(len(jrs), func(i, k int) { jrs[i], jrs[k] = jrs[k], jrs[i] })
+
+	want := append([]JobResult(nil), jrs...)
+	sort.Slice(want, func(i, k int) bool { return want[i].Job.Key() < want[k].Job.Key() })
+	keys := make([]string, len(jrs))
+	for i := range jrs {
+		keys[i] = jrs[i].Job.Key()
+	}
+	sortByKeys(jrs, keys)
+	for i := range want {
+		if jrs[i].Job.Key() != want[i].Job.Key() || keys[i] != want[i].Job.Key() {
+			t.Fatalf("position %d: got %s (key %s), want %s", i, jrs[i].Job.Key(), keys[i], want[i].Job.Key())
+		}
 	}
 }
 

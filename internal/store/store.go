@@ -417,9 +417,8 @@ func (s *Store) readLocked(k Key, e entry) ([]byte, error) {
 		s.dropCorrupt(k, e)
 		return nil, fmt.Errorf("%w: segment %d offset %d", ErrCorrupt, e.seg, e.off)
 	}
-	out := make([]byte, len(val))
-	copy(out, val)
-	return out, nil
+	// buf is this read's own and never reused, so the value can alias it.
+	return val, nil
 }
 
 func (s *Store) dropCorrupt(k Key, e entry) {

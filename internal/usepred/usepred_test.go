@@ -129,9 +129,8 @@ func TestAccuracyOnGeneratedWorkload(t *testing.T) {
 	var hist uint64
 
 	var predicted, correct uint64
-	for i := 0; i < 300_000; i++ {
-		in := pg.InstAt(e.PC())
-		s := e.StepInst(in)
+	const steps = 300_000
+	n := e.Walk(steps, func(in *isa.Inst, s prog.Step) {
 		for _, r := range [...]isa.Reg{in.Src1, in.Src2} {
 			if r != isa.RegNone && !r.IsZeroReg() {
 				defs[r.Index()].reads++
@@ -158,6 +157,9 @@ func TestAccuracyOnGeneratedWorkload(t *testing.T) {
 		if in.Op.IsCond() {
 			hist = (hist << 1) | b2u(s.Taken)
 		}
+	})
+	if n != steps {
+		t.Fatalf("execution fell off code after %d of %d steps", n, steps)
 	}
 	if predicted < 1000 {
 		t.Fatalf("too few predictions scored: %d", predicted)
